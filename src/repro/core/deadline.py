@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..model.table import WorkerRows, WorkerTable
 from ..model.worker import WorkerProfile
 from ..stats.duration_models import DurationModel, DurationModelFamily, PowerLawFamily
 from ..stats.powerlaw import FitMethod, PowerLawFit
@@ -82,14 +83,11 @@ class DeadlineEstimator:
         self.family = family if family is not None else PowerLawFamily(fit_method)
         # Fit cache keyed by worker id; worker histories are append-only, so
         # a cached fit stays valid until the completed-task count changes.
-        # This matters: graph construction re-fits every worker every batch.
+        # The batch paths read the fitted parameters from the worker table's
+        # fit columns instead (see _gather) and only come here to refit.
         self._fit_cache: dict[int, tuple[int, DurationModel]] = {}
-        # Slim power-law parameter cache for the batch paths: worker id →
-        # (observation count, alpha, k_min).  The batch methods run every
-        # sweep and every graph build over mostly-unchanged workers; reading
-        # two floats from this dict skips the fit-object round trip
-        # (property access + isinstance + attribute loads) per worker.
-        self._param_cache: dict[int, tuple[int, float, float]] = {}
+        # Histories shorter than this are untrained (z, and never 0).
+        self._trained_from = max(min_history, 1)
         # Cache effectiveness tallies, exported by the observability layer
         # (plain ints here — core must not depend on repro.obs).  A miss is
         # any trained fit_worker call that had to run the MLE.
@@ -100,7 +98,7 @@ class DeadlineEstimator:
     def fit_worker(self, worker: WorkerProfile) -> Optional[DurationModel]:
         """Fitted duration model for the worker, or None while untrained."""
         n_obs = len(worker.execution_times)
-        if n_obs < self.min_history or n_obs == 0:
+        if n_obs < self._trained_from:
             return None
         cached = self._fit_cache.get(worker.worker_id)
         if cached is not None and cached[0] == n_obs:
@@ -109,10 +107,6 @@ class DeadlineEstimator:
         self.cache_misses += 1
         fit = self.family.fit(worker.execution_times)
         self._fit_cache[worker.worker_id] = (n_obs, fit)
-        if isinstance(fit, PowerLawFit):
-            self._param_cache[worker.worker_id] = (n_obs, fit.alpha, fit.k_min)
-        else:
-            self._param_cache.pop(worker.worker_id, None)
         return fit
 
     def evict(self, worker_id: int) -> None:
@@ -124,24 +118,50 @@ class DeadlineEstimator:
         invokes this from its deregister hook.
         """
         self._fit_cache.pop(worker_id, None)
-        self._param_cache.pop(worker_id, None)
 
-    def _powerlaw_params(self, worker: WorkerProfile) -> Optional[tuple[float, float]]:
-        """(alpha, k_min) of the worker's current power-law fit, or None.
+    def _store_fit(
+        self, table: WorkerTable, slot: int, n_obs: int, fit: Optional[DurationModel]
+    ) -> None:
+        if isinstance(fit, PowerLawFit):
+            table.set_fit(slot, n_obs, fit.alpha, fit.k_min, True)
+        else:
+            table.set_fit(slot, n_obs, math.nan, math.nan, False)
 
-        Batch-path fast lane: a parameter-cache hit reads two floats and
-        never touches the fit object.  Returns None for untrained workers
-        *and* for non-power-law fits — callers fall back to
-        :meth:`fit_worker` to disambiguate.
+    def _gather(
+        self, rows: WorkerRows, candidates: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Tuple[int, DurationModel]]]:
+        """Fitted models of the trained rows among ``candidates``.
+
+        Returns ``(powerlaw_rows, alpha, k_min, others)``: ascending row
+        indices whose fit is a power law with their parameters, and
+        ``(row, fit)`` pairs for fits of any other family.  A row whose fit
+        columns are current (same owner, same history length) and hold a
+        power law is a cache hit read by fancy index; every other trained
+        row goes through :meth:`fit_worker`, which refits only when the
+        history grew, and its table row is rewritten.
         """
-        n_obs = len(worker.execution_times)
-        if n_obs < self.min_history or n_obs == 0:
-            return None
-        entry = self._param_cache.get(worker.worker_id)
-        if entry is not None and entry[0] == n_obs:
-            self.cache_hits += 1
-            return (entry[1], entry[2])
-        return None
+        table, slots = rows.table, rows.slots
+        table.claim_fits(self)
+        if candidates is None:
+            candidates = np.arange(len(rows), dtype=np.intp)
+        n_obs = table.n_obs[slots[candidates]]
+        trained_mask = n_obs >= self._trained_from
+        trained = candidates[trained_mask]
+        trained_slots = slots[trained]
+        fast = (table.fit_n_obs[trained_slots] == n_obs[trained_mask]) & (
+            table.is_power_law[trained_slots]
+        )
+        self.cache_hits += int(fast.sum())
+        others: List[Tuple[int, DurationModel]] = []
+        for i in trained[~fast].tolist():
+            worker = rows[i]
+            fit = self.fit_worker(worker)
+            self._store_fit(table, int(slots[i]), len(worker.execution_times), fit)
+            if fit is not None and not isinstance(fit, PowerLawFit):
+                others.append((i, fit))
+        powerlaw = trained[table.is_power_law[trained_slots]]
+        powerlaw_slots = slots[powerlaw]
+        return powerlaw, table.alpha[powerlaw_slots], table.k_min[powerlaw_slots], others
 
     # ------------------------------------------------------------- Eq. (3)
     def completion_probability(
@@ -166,51 +186,25 @@ class DeadlineEstimator:
         """Vectorized Eq. (3): (len(workers), len(ttd)) probabilities.
 
         This is the graph-construction hot path.  Power-law fits (the
-        paper's model, and the overwhelmingly common case) are stacked into
-        per-worker ``alpha`` / ``k_min`` arrays and evaluated as a single
-        broadcasted power over the worker × TTD grid; any other fitted
-        family falls back to one vectorized ``ccdf`` call per worker.  Both
-        paths are bit-identical to the scalar :meth:`completion_probability`
-        (NumPy applies the same elementwise ``pow`` either way).
+        paper's model, and the overwhelmingly common case) are gathered from
+        the worker table's fit columns into ``alpha`` / ``k_min`` arrays and
+        evaluated as a single broadcasted power over the worker × TTD grid;
+        any other fitted family falls back to one vectorized ``ccdf`` call
+        per worker.  Both paths are bit-identical to the scalar
+        :meth:`completion_probability` (NumPy applies the same elementwise
+        ``pow`` either way).  A plain profile sequence is packed into a
+        table first; :class:`~repro.model.table.WorkerRows` (what
+        ``ProfilingComponent.available_workers`` returns) is read in place.
         """
         ttd = np.asarray(time_to_deadline, dtype=np.float64)
-        out = np.empty((len(workers), len(ttd)), dtype=np.float64)
-        powerlaw_rows: list[int] = []
-        powerlaw_alpha: list[float] = []
-        powerlaw_kmin: list[float] = []
-        # The gather loop below is the per-batch hot path (every available
-        # worker, every batch): the parameter-cache lookup is inlined rather
-        # than routed through _powerlaw_params so a hit costs one dict read,
-        # and untrained workers short-circuit without a fit_worker call.
-        min_history = self.min_history
-        param_cache = self._param_cache
-        hits = 0
-        for i, worker in enumerate(workers):
-            n_obs = len(worker.execution_times)
-            if n_obs < min_history or n_obs == 0:
-                out[i, :] = 1.0
-                continue
-            entry = param_cache.get(worker.worker_id)
-            if entry is not None and entry[0] == n_obs:
-                hits += 1
-                powerlaw_rows.append(i)
-                powerlaw_alpha.append(entry[1])
-                powerlaw_kmin.append(entry[2])
-                continue
-            fit = self.fit_worker(worker)
-            if fit is None:
-                out[i, :] = 1.0
-            elif isinstance(fit, PowerLawFit):
-                powerlaw_rows.append(i)
-                powerlaw_alpha.append(fit.alpha)
-                powerlaw_kmin.append(fit.k_min)
-            else:
-                out[i, :] = 1.0 - fit.ccdf(ttd)
-        self.cache_hits += hits
-        if powerlaw_rows:
-            alpha = np.asarray(powerlaw_alpha, dtype=np.float64)
-            k_min = np.asarray(powerlaw_kmin, dtype=np.float64)
-            out[powerlaw_rows, :] = 1.0 - powerlaw_ccdf_grid(alpha, k_min, ttd)
+        rows = WorkerRows.of(workers)
+        # Untrained rows (and non-fits) treat completion as certain.
+        out = np.ones((len(rows), len(ttd)), dtype=np.float64)
+        powerlaw, alpha, k_min, others = self._gather(rows)
+        for i, fit in others:
+            out[i, :] = 1.0 - fit.ccdf(ttd)
+        if len(powerlaw):
+            out[powerlaw, :] = 1.0 - powerlaw_ccdf_grid(alpha, k_min, ttd)
         # Expired deadlines can never be met, trained or not.
         out[:, ttd <= 0] = 0.0
         return np.clip(out, 0.0, 1.0)
@@ -274,50 +268,18 @@ class DeadlineEstimator:
         trained = np.zeros(n, dtype=bool)
         closed = ttd <= elapsed
         probs[closed] = 0.0
-
-        powerlaw_rows: list[int] = []
-        powerlaw_alpha: list[float] = []
-        powerlaw_kmin: list[float] = []
-        closed_list = closed.tolist()
-        # Same inlined parameter-cache gather as completion_probability_matrix
-        # (this is the per-sweep hot path).
-        min_history = self.min_history
-        param_cache = self._param_cache
-        hits = 0
-        for i, worker in enumerate(workers):
-            if closed_list[i]:
-                continue
-            n_obs = len(worker.execution_times)
-            if n_obs < min_history or n_obs == 0:
-                continue
-            entry = param_cache.get(worker.worker_id)
-            if entry is not None and entry[0] == n_obs:
-                hits += 1
-                powerlaw_rows.append(i)
-                powerlaw_alpha.append(entry[1])
-                powerlaw_kmin.append(entry[2])
-                continue
-            fit = self.fit_worker(worker)
-            if fit is None:
-                continue
-            if isinstance(fit, PowerLawFit):
-                powerlaw_rows.append(i)
-                powerlaw_alpha.append(fit.alpha)
-                powerlaw_kmin.append(fit.k_min)
-            else:
-                p = float(fit.ccdf(elapsed[i])) - float(fit.ccdf(ttd[i]))
-                probs[i] = min(max(p, 0.0), 1.0)
-                trained[i] = True
-        self.cache_hits += hits
-        if powerlaw_rows:
-            rows = np.asarray(powerlaw_rows, dtype=np.int64)
-            alpha = np.asarray(powerlaw_alpha, dtype=np.float64)
-            k_min = np.asarray(powerlaw_kmin, dtype=np.float64)
-            p = powerlaw_ccdf_values(alpha, k_min, elapsed[rows]) - powerlaw_ccdf_values(
-                alpha, k_min, ttd[rows]
+        rows = WorkerRows.of(workers)
+        powerlaw, alpha, k_min, others = self._gather(rows, (~closed).nonzero()[0])
+        for i, fit in others:
+            p = float(fit.ccdf(elapsed[i])) - float(fit.ccdf(ttd[i]))
+            probs[i] = min(max(p, 0.0), 1.0)
+            trained[i] = True
+        if len(powerlaw):
+            p = powerlaw_ccdf_values(alpha, k_min, elapsed[powerlaw]) - powerlaw_ccdf_values(
+                alpha, k_min, ttd[powerlaw]
             )
-            probs[rows] = np.clip(p, 0.0, 1.0)
-            trained[rows] = True
+            probs[powerlaw] = np.clip(p, 0.0, 1.0)
+            trained[powerlaw] = True
         return probs, trained
 
     def withdrawal_skip_horizon(
@@ -335,25 +297,36 @@ class DeadlineEstimator:
         of safety margin (many orders of magnitude above ``pow`` rounding)
         gives a horizon with the guarantee: while the worker's observation
         count is unchanged, any sweep with ``elapsed < horizon`` would
-        evaluate a probability ≥ threshold — i.e. no withdrawal.  The sweep
-        uses this to skip the batch evaluation of provably-safe rows without
-        changing a single withdrawal decision.
+        evaluate a probability ≥ threshold — i.e. no withdrawal.  The Eq. 2
+        monitor arms each assignment with this horizon and evaluates it only
+        once the horizon has passed, without changing a single withdrawal
+        decision.
 
         Returns ``inf`` for untrained workers (never withdrawn until their
-        fit activates, which changes the observation count and invalidates
-        the caller's cache) and ``0.0`` (never skip) for non-power-law
-        duration families, whose CCDF shape this closed form does not cover.
+        fit activates, which changes the observation count and re-arms the
+        assignment) and ``0.0`` (never skip) for non-power-law duration
+        families, whose CCDF shape this closed form does not cover.  A
+        profile bound to a worker table reads its current fit from the
+        table's fit columns.
         """
         n_obs = len(worker.execution_times)
-        if n_obs < self.min_history or n_obs == 0:
+        if n_obs < self._trained_from:
             return math.inf
-        entry = self._param_cache.get(worker.worker_id)
-        if entry is not None and entry[0] == n_obs:
+        table, slot = worker._table, worker._slot
+        if (
+            table is not None
+            and table.fit_owner is self
+            and table.fit_n_obs[slot] == n_obs
+            and table.is_power_law[slot]
+        ):
             self.cache_hits += 1
-            alpha = entry[1]
-            k_min = entry[2]
+            alpha = float(table.alpha[slot])
+            k_min = float(table.k_min[slot])
         else:
             fit = self.fit_worker(worker)
+            if table is not None:
+                table.claim_fits(self)
+                self._store_fit(table, slot, n_obs, fit)
             if not isinstance(fit, PowerLawFit):
                 return 0.0
             alpha = fit.alpha

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from ..model.region import haversine_km, haversine_km_matrix
+from ..model.table import CATEGORY_INDEX, WorkerRows
 from ..model.task import Task
 from ..model.worker import WorkerProfile
 
@@ -71,22 +72,12 @@ class AccuracyWeight(WeightFunction):
     def matrix(
         self, workers: Sequence[WorkerProfile], tasks: Sequence[Task]
     ) -> np.ndarray:
-        out = np.empty((len(workers), len(tasks)), dtype=np.float64)
-        # Group the per-worker accuracy lookups by the distinct categories in
-        # the batch: one pass per category instead of one per (i, j) cell.
-        categories = {}
-        for j, task in enumerate(tasks):
-            categories.setdefault(task.category, []).append(j)
-        for category, cols in categories.items():
-            # Read the profile's pushed accuracy mirror directly: one dict
-            # lookup per worker in this per-batch loop (see
-            # WorkerProfile.accuracy_by_category).
-            col_accuracy = np.array(
-                [w.accuracy_by_category.get(category, 0.0) for w in workers],
-                dtype=np.float64,
-            )
-            out[:, cols] = col_accuracy[:, None]
-        return out
+        # One gather from the worker table's accuracy columns: row i is
+        # workers[i], column j the accuracy on tasks[j]'s category (0 before
+        # any history there).
+        rows = WorkerRows.of(workers)
+        columns = np.array([CATEGORY_INDEX[task.category] for task in tasks], dtype=np.intp)
+        return rows.table.accuracy[rows.slots].take(columns, axis=1)
 
 
 class DistanceWeight(WeightFunction):

@@ -29,6 +29,7 @@ import numpy as np
 
 from ..core.deadline import DeadlineEstimator
 from ..core.weights import WeightFunction
+from ..model.table import WorkerRows
 from ..model.task import Task
 from ..model.worker import WorkerProfile
 from .bipartite import BipartiteGraph
@@ -141,6 +142,9 @@ class AssignmentGraphBuilder:
         if n_w == 0 or n_t == 0:
             return BipartiteGraph.empty(n_w, n_t), report
         report.candidate_edges = n_w * n_t
+        # One table view for every per-worker read below (Eq. 3, Eq. 1,
+        # cold start): a plain sequence is packed once here.
+        rows = WorkerRows.of(workers)
 
         ttd = np.array([task.time_to_deadline(now) for task in tasks], dtype=np.float64)
         # Two distinct notions of "new worker" (§IV-A): the cold-start boost
@@ -149,16 +153,13 @@ class AssignmentGraphBuilder:
         # available tasks and we assign the maximum value"), while the Eq. 3
         # probability model activates once the profile holds enough duration
         # observations (handled inside the estimator).
-        cold_start = np.array(
-            [w.assignment_count < self.estimator.min_history for w in workers],
-            dtype=bool,
-        )
+        cold_start = rows.table.assignment_count[rows.slots] < self.estimator.min_history
         report.cold_start_workers = int(cold_start.sum())
 
         if self.edge_probability_bound > 0.0:
             # Eq. (3) probabilities; untrained rows come back as 1.0 except
             # for already-expired tasks (columns with ttd <= 0), which stay 0.
-            prob = self.estimator.completion_probability_matrix(workers, ttd)
+            prob = self.estimator.completion_probability_matrix(rows, ttd)
             keep = prob >= self.edge_probability_bound
             # Cold-start workers connect to every (non-expired) task
             # regardless of the probability bound.
@@ -173,7 +174,7 @@ class AssignmentGraphBuilder:
         report.pruned_by_probability = report.candidate_edges - int(keep.sum())
 
         # Weights: Eq. (1) for established workers, MAX_WEIGHT for cold-start.
-        weights = self.weight_function.matrix(workers, tasks)
+        weights = self.weight_function.matrix(rows, tasks)
         if weights.shape != (n_w, n_t):
             raise ValueError(
                 f"weight function returned shape {weights.shape}, "

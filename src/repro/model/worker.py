@@ -16,11 +16,14 @@ Two views of a worker are deliberately kept separate, mirroring the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
 from .task import TaskCategory
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .table import WorkerTable
 
 
 @dataclass(frozen=True)
@@ -169,6 +172,32 @@ class CategoryStats:
         return self.positive / self.finished
 
 
+class _Mirrored:
+    """Write-through field: every write also lands in the profile's table slot.
+
+    A descriptor with ``__set__`` but no ``__get__``: reads find the value
+    in the instance ``__dict__`` at plain-attribute speed, while every write
+    — including plain ones such as ``profile.online = False`` — runs
+    ``__set__``, which stores the value and, when the profile is bound to a
+    :class:`~repro.model.table.WorkerTable`, calls the table's
+    ``set_<name>`` for its slot.  Installed on :class:`WorkerProfile` after
+    the dataclass is built, so the generated ``__init__`` keeps the plain
+    field defaults.
+    """
+
+    __slots__ = ("_name", "_setter")
+
+    def __init__(self, name: str) -> None:
+        self._name = name
+        self._setter = "set_" + name
+
+    def __set__(self, obj: Any, value: Any) -> None:
+        obj.__dict__[self._name] = value
+        table = obj._table
+        if table is not None:
+            getattr(table, self._setter)(obj._slot, value)
+
+
 @dataclass
 class WorkerProfile:
     """Platform-observable worker state (the Profiling Component's record).
@@ -176,7 +205,17 @@ class WorkerProfile:
     Holds the worker's id, location, availability, completed-task execution
     times (``ExecTime_ih`` history feeding the power-law estimator) and
     per-category feedback statistics (feeding the Eq. 1 weight).
+
+    While registered with a Profiling Component the profile is bound to that
+    component's :class:`~repro.model.table.WorkerTable` and mirrors its
+    availability flags, assignment count, history length and accuracies into
+    its slot on every write.
     """
+
+    #: Table slot binding, set by :meth:`WorkerTable.attach` (class-level
+    #: defaults, not dataclass fields: they are not part of the record).
+    _table = None  # type: Optional[WorkerTable]
+    _slot = -1
 
     worker_id: int
     latitude: float = 0.0
@@ -195,11 +234,11 @@ class WorkerProfile:
     assignment_count: int = 0
     #: how many of ``execution_times`` are censored withdrawal observations
     censored_observations: int = 0
-    #: Eq. 1 accuracy per category, pushed on every feedback record so the
-    #: per-batch weight matrix reads one float per worker instead of walking
-    #: the tally objects (graph-construction hot path).  ``category_stats``
-    #: stays the source of truth; this mirror is rebuilt from it on
-    #: construction and updated in lock-step by :meth:`record_completion`.
+    #: Eq. 1 accuracy per category, pushed on every feedback record (and on
+    #: into the worker table's accuracy column) so readers take one float
+    #: instead of walking the tally objects.  ``category_stats`` stays the
+    #: source of truth; this mirror is rebuilt from it on construction and
+    #: updated in lock-step by :meth:`record_completion`.
     accuracy_by_category: Dict[TaskCategory, float] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -207,6 +246,14 @@ class WorkerProfile:
     def __post_init__(self) -> None:
         for category, stats in self.category_stats.items():
             self.accuracy_by_category[category] = stats.accuracy
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Copies and pickles are unbound records: the table slot belongs to
+        # the original profile's registration.
+        state = dict(self.__dict__)
+        state.pop("_table", None)
+        state.pop("_slot", None)
+        return state
 
     # ------------------------------------------------------------ history
     @property
@@ -223,7 +270,12 @@ class WorkerProfile:
         self.execution_times.append(float(execution_time))
         stats = self.category_stats.setdefault(category, CategoryStats())
         stats.record(positive_feedback)
-        self.accuracy_by_category[category] = stats.positive / stats.finished
+        accuracy = stats.positive / stats.finished
+        self.accuracy_by_category[category] = accuracy
+        table = self._table
+        if table is not None:
+            table.set_accuracy(self._slot, category, accuracy)
+            table.set_history(self._slot, len(self.execution_times))
 
     def record_censored(self, elapsed: float) -> None:
         """Record a withdrawal as a censored duration observation.
@@ -237,6 +289,9 @@ class WorkerProfile:
             return
         self.execution_times.append(float(elapsed))
         self.censored_observations += 1
+        table = self._table
+        if table is not None:
+            table.set_history(self._slot, len(self.execution_times))
 
     def accuracy(self, category: TaskCategory) -> float:
         """Observed accuracy for ``category`` (Eq. 1 numerator/denominator)."""
@@ -269,3 +324,7 @@ class WorkerProfile:
         "worker availability after reassignment").
         """
         self.current_task = None
+
+
+for _field in ("available", "online", "assignment_count"):
+    setattr(WorkerProfile, _field, _Mirrored(_field))

@@ -1,6 +1,6 @@
 """Dynamic Assignment Component (§III-A, §IV-B).
 
-Periodically sweeps every assigned task and evaluates Eq. (2) — the
+Periodically checks the assigned tasks and evaluates Eq. (2) — the
 probability that the current worker finishes inside the remaining window,
 given that ``t_ij`` seconds have already elapsed — against the worker's
 power-law profile.  When the probability drops below the policy threshold
@@ -11,12 +11,25 @@ Per §V-C, a worker with fewer than ``z = 3`` completed tasks is never
 reassigned (the system is still training his profile), and a task whose
 deadline has already passed is left with its worker — no other worker could
 beat the deadline either, so reassignment would only waste a second slot.
+
+The monitor is a due-queue, not a poll.  For a power-law fit the Eq. (2)
+probability only falls as the task runs, so
+:meth:`~repro.core.deadline.DeadlineEstimator.withdrawal_skip_horizon` gives
+an elapsed time before which the rule cannot fire.  Each assignment is armed
+with that horizon when it is committed, re-armed when its worker's history
+length or the threshold changes, and only assignments past their horizon
+are evaluated at the monitor ticks.  A tick thus costs O(changes + due
+rows), not O(assigned tasks), and withdraws exactly what evaluating every
+assigned task would (``tests/platform/monitor_reference.py`` keeps that
+polling sweep as the test oracle).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -31,6 +44,34 @@ from .policies import SchedulingPolicy
 from .profiling import ProfilingComponent
 from .task_management import TaskManagementComponent
 
+# Watch states.
+_PENDING = 0  # committed (or invalidated), horizon not computed yet
+_ARMED = 1  # in the heap, below its horizon
+_DUE = 2  # past its horizon: evaluated at every tick
+_CLOSED = 3  # window closed: never withdrawn again
+_GONE = 4  # left the assigned pool
+
+_SEQ = attrgetter("seq")
+
+
+class _Watch:
+    """One assignment under Eq. 2 watch."""
+
+    __slots__ = ("task", "worker_id", "assigned_at", "ttd", "seq", "horizon", "state", "epoch")
+
+    def __init__(self, task: Task, worker_id: int, assigned_at: float, seq: int) -> None:
+        self.task = task
+        self.worker_id = worker_id
+        self.assigned_at = assigned_at
+        # TimeToDeadline_ij is anchored at the assignment instant.
+        self.ttd = task.absolute_deadline - assigned_at
+        #: commit order (= ``TaskManagementComponent.assigned_tasks`` order)
+        self.seq = seq
+        self.horizon = 0.0
+        self.state = _PENDING
+        #: bumped on every re-arm; heap entries of older epochs are stale
+        self.epoch = 0
+
 
 @dataclass(frozen=True)
 class Withdrawal:
@@ -44,7 +85,7 @@ class Withdrawal:
 
 
 class DynamicAssignmentComponent:
-    """The Eq. (2) monitor loop."""
+    """The Eq. (2) monitor (a due-queue; see the module docstring)."""
 
     def __init__(
         self,
@@ -79,15 +120,25 @@ class DynamicAssignmentComponent:
         #: while True the periodic sweep fires but evaluates nothing, so no
         #: dawdling task is rescued until the outage lifts.
         self.suspended = False
-        # Crossing-time skip cache: task_id → (worker_id, observation count,
-        # assigned_at, horizon, ttd).  While the key fields are unchanged,
-        # any sweep with elapsed < horizon provably reports Eq. 2 ≥ threshold
-        # (see DeadlineEstimator.withdrawal_skip_horizon), so the row's
-        # batch evaluation is skipped without changing any decision.  The TTD
-        # rides along because it is constant per (task, assigned_at) and its
-        # recomputation (a property chain) showed up in sweep profiles.
-        self._skip_horizon: dict[int, tuple[int, int, float, float, float]] = {}
-        self._skip_threshold: Optional[float] = None
+        # Due-queue state.  Every live watch is in ``_watches`` and in its
+        # worker's ``_by_worker`` entry, and in exactly one of: ``_pending``,
+        # the ``_armed`` heap (key: assigned_at + horizon), ``_due``, or
+        # nowhere (closed).
+        self._watches: Dict[int, _Watch] = {}
+        self._by_worker: Dict[int, Dict[int, _Watch]] = {}
+        self._pending: List[_Watch] = []
+        self._armed: List[Tuple[float, int, int, _Watch]] = []
+        self._armed_live = 0
+        self._due: Dict[int, _Watch] = {}
+        self._commits = 0
+        self._threshold: Optional[float] = None
+        # Workers whose history length changed since the last tick (their
+        # horizons embed the old fit).  Only a running monitor subscribes,
+        # so policies without Eq. 2 record nothing.
+        self._history_changes: Set[int] = set()
+        if policy.use_probabilistic_model:
+            task_management.watch_assignments(self._on_assigned, self._on_unassigned)
+            profiling.table.history_changes = self._history_changes
 
     def start(self) -> None:
         """Begin the periodic sweep (no-op when the model is disabled)."""
@@ -108,6 +159,102 @@ class DynamicAssignmentComponent:
             self._process.stop()
             self._process = None
 
+    # ------------------------------------------------------------ watches
+    def _on_assigned(self, task: Task) -> None:
+        worker_id = task.assigned_worker
+        assigned_at = task.assigned_at
+        assert worker_id is not None and assigned_at is not None
+        watch = _Watch(task, worker_id, assigned_at, self._commits)
+        self._commits += 1
+        self._watches[task.task_id] = watch
+        self._by_worker.setdefault(worker_id, {})[task.task_id] = watch
+        self._pending.append(watch)
+
+    def _on_unassigned(self, task: Task) -> None:
+        watch = self._watches.pop(task.task_id, None)
+        if watch is None:
+            return
+        if watch.state == _ARMED:
+            self._armed_live -= 1
+        elif watch.state == _DUE:
+            del self._due[task.task_id]
+        watch.state = _GONE
+        peers = self._by_worker[watch.worker_id]
+        del peers[task.task_id]
+        if not peers:
+            del self._by_worker[watch.worker_id]
+
+    def _invalidate(self, watch: _Watch) -> None:
+        """Send an armed or due watch back to pending (its horizon is stale)."""
+        if watch.state == _ARMED:
+            self._armed_live -= 1
+        elif watch.state == _DUE:
+            del self._due[watch.task.task_id]
+        else:
+            return
+        watch.state = _PENDING
+        watch.epoch += 1
+        self._pending.append(watch)
+
+    def _arm(self, watch: _Watch, now: float, threshold: float) -> None:
+        """Compute a pending watch's horizon at tick ``now`` and file it."""
+        if watch.ttd <= now - watch.assigned_at:
+            # Window closed: Eq. 2 reports 0 untrained, never a withdrawal,
+            # and the window only closes further.
+            watch.state = _CLOSED
+            return
+        profile = self._profiles.get(watch.worker_id)
+        watch.horizon = self._estimator.withdrawal_skip_horizon(profile, watch.ttd, threshold)
+        watch.state = _ARMED
+        self._armed_live += 1
+        heapq.heappush(
+            self._armed, (watch.assigned_at + watch.horizon, watch.seq, watch.epoch, watch)
+        )
+
+    def _collect_due(self, now: float, threshold: float) -> None:
+        """Bring the watches up to tick ``now``: re-arm, arm, pop the due."""
+        if threshold != self._threshold:
+            # Horizons embed the threshold; a mid-run policy change (ablation
+            # harnesses mutate policies) re-arms every watch.
+            for watch in self._watches.values():
+                self._invalidate(watch)
+            self._threshold = threshold
+        if self._history_changes:
+            for worker_id in sorted(self._history_changes):
+                for watch in self._by_worker.get(worker_id, {}).values():
+                    self._invalidate(watch)
+            self._history_changes.clear()
+        if self._pending:
+            for watch in self._pending:
+                if watch.state == _PENDING:
+                    self._arm(watch, now, threshold)
+            self._pending.clear()
+        heap = self._armed
+        if len(heap) > 2 * self._armed_live + 64:
+            # Drop entries of re-armed or departed watches.
+            heap[:] = [
+                entry for entry in heap if entry[3].state == _ARMED and entry[3].epoch == entry[2]
+            ]
+            heapq.heapify(heap)
+        # The heap key rounds assigned_at + horizon; the decision uses the
+        # exact ``now - assigned_at < horizon`` test, so pop a hair past now
+        # and put back what the exact test still holds off.
+        limit = now + 1e-9 * (abs(now) + 1.0)
+        held: List[Tuple[float, int, int, _Watch]] = []
+        while heap and heap[0][0] <= limit:
+            entry = heapq.heappop(heap)
+            watch = entry[3]
+            if watch.state != _ARMED or watch.epoch != entry[2]:
+                continue
+            if now - watch.assigned_at < watch.horizon:
+                held.append(entry)
+                continue
+            watch.state = _DUE
+            self._armed_live -= 1
+            self._due[watch.task.task_id] = watch
+        for entry in held:
+            heapq.heappush(heap, entry)
+
     # --------------------------------------------------------------- sweep
     def sweep_cohort(self, now: float, count: int) -> int:
         """Cohort entry point: ``count`` coincident monitor events, one call.
@@ -115,8 +262,7 @@ class DynamicAssignmentComponent:
         Each coincident monitor event still performs a full sweep pass —
         a withdrawal inside pass *k* changes the assigned set that pass
         *k + 1* must observe, exactly as the sequential dispatch would —
-        but the passes arrive as one batched dispatch, and every pass
-        evaluates its whole task set through the one stacked Eq. 2 call.
+        but the passes arrive as one batched dispatch.
         """
         pulled = 0
         for _ in range(count):
@@ -124,122 +270,92 @@ class DynamicAssignmentComponent:
         return pulled
 
     def sweep(self, now: float) -> int:
-        """Evaluate Eq. (2) for every running task; withdraw the hopeless.
+        """One monitor tick: evaluate Eq. (2) for the due assignments.
 
-        Rows that provably cannot be withdrawn yet are skipped outright via
-        the crossing-time cache (closed windows, and tasks whose elapsed
-        time sits under the conservative horizon from
-        :meth:`~repro.core.deadline.DeadlineEstimator.withdrawal_skip_horizon`);
-        the remaining rows are evaluated in one batched estimator call
-        (stacked power-law parameters, see
-        :meth:`~repro.core.deadline.DeadlineEstimator.window_probability_batch`)
-        before any withdrawal is materialized.  Withdrawals happen in the
-        same task order as the original per-task loop, and the one
-        sequential dependency is preserved explicitly: a withdrawal feeds a
-        censored observation into the worker's history, so in the rare case
-        the same worker backs *another* assigned task later in the sweep
-        (the silent-abandonment re-match race), that task is re-evaluated
-        against the updated profile — skipped or not — instead of using the
-        batch value.  The evaluation counters keep counting every assigned
-        task: a skipped row *is* an Eq. 2 decision, just one reached without
+        Assignments below their horizon provably hold Eq. 2 ≥ threshold and
+        are not touched; the due ones are evaluated in one batched
+        estimator call
+        (:meth:`~repro.core.deadline.DeadlineEstimator.window_probability_batch`)
+        and withdrawn in commit order — the order of a sweep over
+        :meth:`~repro.platform.task_management.TaskManagementComponent.assigned_tasks`.
+        One sequential dependency is kept explicitly: a withdrawal feeds a
+        censored observation into the worker's history, so when the same
+        worker backs *another* assignment later in that order (the
+        silent-abandonment re-match race), that assignment is re-evaluated
+        against the updated profile, due or not, instead of using the batch
+        value.  The evaluation counters count every assigned task: one
+        below its horizon *is* an Eq. 2 decision, just one reached without
         recomputing the probability.
 
         Returns the number of withdrawals performed this sweep.
         """
         if self.suspended:
             return 0
-        tasks = self._tasks.assigned_tasks()
-        if not tasks:
+        n = self._tasks.assigned_count
+        if n == 0:
+            # Nothing is assigned, so every queued watch is gone.
+            self._pending.clear()
+            self._armed.clear()
+            self._history_changes.clear()
             return 0
         threshold = self._policy.reassign_threshold
         if not (0.0 <= threshold <= 1.0):
             raise ValueError(f"threshold must be in [0,1], got {threshold}")
+        self._collect_due(now, threshold)
+        # Watches committed from here on belong to the next tick.
+        seq_limit = self._commits
 
-        n = len(tasks)
+        evaluated: List[_Watch] = []
+        for watch in sorted(self._due.values(), key=_SEQ):
+            if watch.ttd <= now - watch.assigned_at:
+                del self._due[watch.task.task_id]
+                watch.state = _CLOSED
+                continue
+            evaluated.append(watch)
+        if not evaluated:
+            return self._finish_sweep(n, 0)
+
         get_profile = self._profiles.get
         estimator = self._estimator
-        cache = self._skip_horizon
-        if threshold != self._skip_threshold:
-            # Cached horizons embed the threshold; a mid-run policy change
-            # (ablation harnesses mutate policies) invalidates them all.
-            cache.clear()
-            self._skip_threshold = threshold
-        workers_l: List[int] = []
-        # Row index into the batch arrays per task, -1 for skipped rows.
-        row_of = [-1] * n
-        eval_profiles = []
-        eval_elapsed: List[float] = []
-        eval_ttd: List[float] = []
-        for idx, task in enumerate(tasks):
-            worker_id = task.assigned_worker
-            assigned_at = task.assigned_at
-            assert worker_id is not None and assigned_at is not None
-            workers_l.append(worker_id)
-            elapsed_i = now - assigned_at
-            profile = get_profile(worker_id)
-            n_obs = len(profile.execution_times)
-            entry = cache.get(task.task_id)
-            if (
-                entry is not None
-                and entry[0] == worker_id
-                and entry[1] == n_obs
-                and entry[2] == assigned_at
-            ):
-                # Cached TTD is exact: the deadline is fixed per task and the
-                # anchor (assigned_at) is part of the cache key.
-                ttd_i = entry[4]
-                if elapsed_i < entry[3] or ttd_i <= elapsed_i:
-                    # Under the horizon, or window closed (Eq. 2 reports
-                    # untrained/0.0 — never a withdrawal, and the window
-                    # only closes further): skip the batch evaluation.
-                    continue
-            else:
-                # TimeToDeadline_ij is anchored at the assignment instant.
-                ttd_i = task.absolute_deadline - assigned_at
-                if ttd_i <= elapsed_i:
-                    continue
-                horizon = estimator.withdrawal_skip_horizon(profile, ttd_i, threshold)
-                cache[task.task_id] = (worker_id, n_obs, assigned_at, horizon, ttd_i)
-                if elapsed_i < horizon:
-                    continue
-            row_of[idx] = len(eval_profiles)
-            eval_profiles.append(profile)
-            eval_elapsed.append(elapsed_i)
-            eval_ttd.append(ttd_i)
+        elapsed = np.asarray([now - w.assigned_at for w in evaluated], dtype=np.float64)
+        probs, trained = estimator.window_probability_batch(
+            self._profiles.table.rows([get_profile(w.worker_id) for w in evaluated]),
+            elapsed,
+            np.asarray([w.ttd for w in evaluated], dtype=np.float64),
+        )
 
-        if eval_profiles:
-            probs, trained = estimator.window_probability_batch(
-                eval_profiles,
-                np.asarray(eval_elapsed, dtype=np.float64),
-                np.asarray(eval_ttd, dtype=np.float64),
-            )
-        else:
-            probs = trained = ()
-
+        # Walk the evaluated watches in commit order, merged with the
+        # re-evaluations a withdrawal adds for its worker's later watches.
         pulled = 0
-        withdrawn_workers: set[int] = set()
-        for idx, task in enumerate(tasks):
-            worker_id = workers_l[idx]
+        withdrawn_workers: Set[int] = set()
+        in_batch = {id(w) for w in evaluated}
+        extra: List[Tuple[int, _Watch]] = []
+        index = 0
+        while index < len(evaluated) or extra:
+            if extra and (index == len(evaluated) or extra[0][0] < evaluated[index].seq):
+                watch = heapq.heappop(extra)[1]
+                row = -1
+            else:
+                watch = evaluated[index]
+                row = index
+                index += 1
+            if watch.state == _GONE:
+                continue
+            worker_id = watch.worker_id
+            elapsed_i = now - watch.assigned_at
             if worker_id in withdrawn_workers:
-                # This worker's history changed earlier in the sweep;
-                # re-evaluate sequentially (matches the pre-batch loop).
-                assigned_at = task.assigned_at
-                assert assigned_at is not None
-                elapsed_i = now - assigned_at
+                # This worker's history changed earlier in the sweep.
                 estimate = estimator.window_probability(
-                    get_profile(worker_id),
-                    elapsed_i,
-                    task.absolute_deadline - assigned_at,
+                    get_profile(worker_id), elapsed_i, watch.ttd
                 )
                 if not estimate.trained or estimate.probability >= threshold:
                     continue
                 probability = estimate.probability
             else:
-                row = row_of[idx]
-                if row < 0 or not trained[row] or probs[row] >= threshold:
+                if not trained[row] or probs[row] >= threshold:
                     continue
                 probability = float(probs[row])
-                elapsed_i = eval_elapsed[row]
+            task = watch.task
             self._tasks.withdraw(task)
             self._profiles.record_withdrawal(
                 worker_id,
@@ -266,21 +382,29 @@ class DynamicAssignmentComponent:
                 probability=round(probability, 6),
                 elapsed=round(elapsed_i, 3),
             )
-            withdrawn_workers.add(worker_id)
+            if worker_id not in withdrawn_workers:
+                withdrawn_workers.add(worker_id)
+                for peer in self._by_worker.get(worker_id, {}).values():
+                    if (
+                        watch.seq < peer.seq < seq_limit
+                        and peer.state != _CLOSED
+                        and id(peer) not in in_batch
+                    ):
+                        heapq.heappush(extra, (peer.seq, peer))
             pulled += 1
             self._on_withdraw(task)
-        if len(cache) > 2 * n + 256:
-            live = {task.task_id for task in tasks}
-            for dead in [tid for tid in cache if tid not in live]:
-                del cache[dead]
+        return self._finish_sweep(n, pulled)
+
+    def _finish_sweep(self, evaluated: int, pulled: int) -> int:
         self._obs_sweeps.inc()
-        self._obs_evaluations.inc(n)
+        self._obs_evaluations.inc(evaluated)
         self._obs_withdrawals.inc(pulled)
         self._tracer.instant(
             "sweep",
             cat="monitor",
             tid=MONITOR_TRACK,
-            evaluated=n,
+            evaluated=evaluated,
             withdrawn=pulled,
         )
         return pulled
+

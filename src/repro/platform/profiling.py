@@ -5,12 +5,18 @@ every registered worker it maintains geographic location, availability
 status, completion times and per-category feedback accuracy.  This is the
 *platform-observable* worker state — the latent ground-truth behaviour lives
 with the simulator (:mod:`repro.model.worker`), never here.
+
+Registered profiles are bound to the component's
+:class:`~repro.model.table.WorkerTable`, the columnar mirror the per-batch
+paths (free-worker set, Eq. 3, Eq. 1, cold start) read instead of walking
+the profiles.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional
 
+from ..model.table import WorkerRows, WorkerTable
 from ..model.task import TaskCategory
 from ..model.worker import WorkerProfile
 
@@ -20,6 +26,9 @@ class ProfilingComponent:
 
     def __init__(self) -> None:
         self._profiles: Dict[int, WorkerProfile] = {}
+        #: Columnar mirror of the registered profiles (one slot per
+        #: registration, in registration order).
+        self.table = WorkerTable()
         #: Chaos hook (:class:`repro.chaos.StaleProfileFault`): maps a raw
         #: ``(worker_id, execution_time)`` observation to the value actually
         #: stored, letting fault injection feed the profiler stale or
@@ -31,6 +40,7 @@ class ProfilingComponent:
     def register(self, profile: WorkerProfile) -> None:
         if profile.worker_id in self._profiles:
             raise ValueError(f"worker {profile.worker_id} is already registered")
+        self.table.attach(profile)
         self._profiles[profile.worker_id] = profile
 
     def add_deregister_hook(self, hook: Callable[[int], None]) -> None:
@@ -45,6 +55,7 @@ class ProfilingComponent:
     def deregister(self, worker_id: int) -> WorkerProfile:
         """Remove a worker (churn); raises ``KeyError`` if unknown."""
         profile = self._profiles.pop(worker_id)
+        self.table.detach(profile)
         for hook in self._deregister_hooks:
             hook(worker_id)
         return profile
@@ -62,19 +73,18 @@ class ProfilingComponent:
         return iter(self._profiles.values())
 
     # ------------------------------------------------------------- queries
-    def available_workers(self) -> List[WorkerProfile]:
+    def available_workers(self) -> WorkerRows:
         """Workers that are online and not executing a task, in a stable
-        (registration) order so batch construction is deterministic."""
-        return [p for p in self._profiles.values() if p.online and p.available]
+        (registration) order so batch construction is deterministic.
+
+        The result is a list of profiles that also carries their table
+        slots, so graph construction gathers the workers' scalars by index.
+        """
+        return self.table.free_rows()
 
     def any_available(self) -> bool:
-        """Whether at least one worker is online and free.
-
-        Early-exit form of ``bool(available_workers())`` for the batch
-        trigger guards, which run on every arrival/completion and only need
-        existence, not the list.
-        """
-        return any(p.online and p.available for p in self._profiles.values())
+        """Whether at least one worker is online and free (O(1) counter)."""
+        return self.table.free_count > 0
 
     def busy_workers(self) -> List[WorkerProfile]:
         return [p for p in self._profiles.values() if p.online and not p.available]

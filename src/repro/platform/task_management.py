@@ -33,6 +33,26 @@ class TaskManagementComponent:
         self._budget = budget
         #: tasks shed at intake because the requester's budget ran dry
         self.shed_by_budget = 0
+        # Assignment watcher (the Eq. 2 monitor): told when a task enters
+        # and when it leaves the assigned pool.  Unset when nothing watches,
+        # so policies without a monitor record nothing.
+        self._on_assigned: Optional[Callable[[Task], None]] = None
+        self._on_unassigned: Optional[Callable[[Task], None]] = None
+
+    def watch_assignments(
+        self,
+        on_assigned: Callable[[Task], None],
+        on_unassigned: Callable[[Task], None],
+    ) -> None:
+        """Subscribe to assigned-pool entries (commits) and exits.
+
+        ``on_assigned`` runs after a commit with the task's worker and
+        assignment time set; ``on_unassigned`` runs when a completion or a
+        withdrawal takes the task out of the pool.  Commit order is the
+        :meth:`assigned_tasks` order.
+        """
+        self._on_assigned = on_assigned
+        self._on_unassigned = on_unassigned
 
     # -------------------------------------------------------------- intake
     def add_task(self, task: Task) -> bool:
@@ -152,6 +172,8 @@ class TaskManagementComponent:
         del self._in_batch[task.task_id]
         task.mark_assigned(worker_id, now)
         self._assigned[task.task_id] = task
+        if self._on_assigned is not None:
+            self._on_assigned(task)
 
     def return_unmatched(self, task: Task) -> None:
         """A batch result left ``task`` unmatched; it rejoins the queue."""
@@ -165,6 +187,8 @@ class TaskManagementComponent:
         if task.task_id not in self._assigned:
             raise ValueError(f"task {task.task_id} is not assigned")
         del self._assigned[task.task_id]
+        if self._on_unassigned is not None:
+            self._on_unassigned(task)
         task.mark_completed(now)
         self._finished[task.task_id] = task
 
@@ -173,6 +197,8 @@ class TaskManagementComponent:
         if task.task_id not in self._assigned:
             raise ValueError(f"task {task.task_id} is not assigned")
         del self._assigned[task.task_id]
+        if self._on_unassigned is not None:
+            self._on_unassigned(task)
         task.mark_unassigned()
         self._unassigned[task.task_id] = task
 

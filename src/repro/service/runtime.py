@@ -343,15 +343,22 @@ class WallClockRuntime:
         member (an earlier member may cancel a later one), and a same-time
         *higher-priority* event scheduled mid-cohort preempts the remaining
         members (they re-queue and fire in the next drain iteration).
+
+        Preemption compares the head against the cohort's own due time, not
+        against ``now``: ``now`` is the monotone floor, which may already sit
+        past later events, and a later higher-priority head must not preempt
+        an earlier cohort — the cohort would re-queue ahead of that head and
+        be preempted again on every drain iteration.
         """
         heap = self._heap
         handlers = self._cohort_handlers
+        key_time = cohort[0].time
         index = 0
         n = len(cohort)
         while index < n:
             if heap:
                 head = heap[0]
-                if head[0] <= now and head[1] < key_priority:
+                if head[0] <= key_time and head[1] < key_priority:
                     break
             event = cohort[index]
             if event.cancelled:

@@ -189,3 +189,54 @@ class TestSlicedDraining:
             runtime.close()
 
         run_async(main())
+
+
+class _ManualLoop:
+    """Loop stand-in with a hand-driven clock.
+
+    Each ``time()`` read advances the clock by one microsecond, so a drain
+    loop that never makes progress still reaches the end of its wall slice
+    and returns instead of hanging the test.
+    """
+
+    def __init__(self) -> None:
+        self.t = 0.0
+        self.soon: list = []
+
+    def time(self) -> float:
+        self.t += 1e-6
+        return self.t
+
+    def call_at(self, when, callback):
+        return asyncio.Handle(callback, (), self)
+
+    def call_soon(self, callback):
+        handle = asyncio.Handle(callback, (), self)
+        self.soon.append(handle)
+        return handle
+
+    def get_debug(self) -> bool:
+        return False
+
+
+class TestFloorPastDueCohort:
+    def test_later_higher_priority_head_does_not_preempt_earlier_cohort(self):
+        """The floor sits past a due cohort with a higher-priority event
+        between them: the cohort must dispatch, then the later event, in a
+        single timer firing (the old floor comparison re-queued the cohort
+        ahead of that event forever)."""
+        loop = _ManualLoop()
+        runtime = WallClockRuntime(loop=loop, time_scale=1.0)
+        fired = []
+        runtime.schedule_at(
+            1.0, EventKind.CALLBACK, lambda _e: fired.append("cohort"), priority=5
+        )
+        runtime.schedule_at(
+            2.0, EventKind.CALLBACK, lambda _e: fired.append("urgent"), priority=1
+        )
+        loop.t = 3.0
+        assert runtime.now >= 3.0  # the floor has passed both events
+        runtime._fire()
+        assert fired == ["cohort", "urgent"]
+        assert runtime.dispatched == 2
+        assert loop.soon == []  # the drain finished inside its slice
