@@ -8,8 +8,9 @@ The package DAG the reproduction relies on (DESIGN.md):
 
 ``repro.service`` is the wall-clock deployment layer: it drives the same
 platform components as the DES harness, so the platform (and everything
-below it) must never import it — the Coordinator's ``server_factory``
-callback exists precisely to keep that edge inverted.
+below it) must never import it — pull workers are served by the
+platform's own region server, so the service layer only builds and drives
+it.
 
 ``core/kernels`` must stay importable without the event engine or the
 platform so the numba cell and the perf harness can load backends in

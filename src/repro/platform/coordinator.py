@@ -15,7 +15,7 @@ protocol is out of the paper's scope).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..model.region import Region
 from ..model.task import Task
@@ -28,15 +28,10 @@ from .cost import CostModel
 from .policies import SchedulingPolicy
 from .server import REACTServer
 
-#: Builds one region server.  The default constructs a :class:`REACTServer`
-#: (simulation mode); the live gateway injects a factory producing
-#: ``repro.service.bridge.LiveRegionServer`` instead — any object with the
-#: REACTServer routing surface (``start``/``submit_task``/``adopt_task``/
-#: ``add_worker``/``remove_worker``/``task_management``/``profiling``/
-#: ``drain_and_summary``) works.  Typed ``Any`` because the platform layer
-#: must not import the service layer (KER001).
+#: Builds one region server, for callers that configure it beyond the
+#: defaults (a budget ledger, liveness culling).
 ServerFactory = Callable[
-    [EventClock, SchedulingPolicy, RngRegistry, Optional[CostModel]], Any
+    [EventClock, SchedulingPolicy, RngRegistry, Optional[CostModel]], REACTServer
 ]
 
 
@@ -230,20 +225,14 @@ class Coordinator:
         self._entries[idx : idx + 1] = [keep_entry, new_entry]
         self._splits += 1
 
-        # Migrate idle workers located in the new half.  Live servers keep
-        # no simulated ground truth, so the behaviour lookup is conditional:
-        # a simulation server skips profiles with no behaviour record, a
-        # live server migrates every idle profile with behavior=None.
-        behaviors = getattr(old, "_behaviors", None)
+        # Migrate idle workers located in the new half, simulated ones with
+        # their behaviour and pull workers as pull workers.
         for profile in list(old.profiling):
             if not profile.available or profile.current_task is not None:
                 continue
             if not half_new.contains(profile.latitude, profile.longitude):
                 continue
-            behavior = behaviors.get(profile.worker_id) if behaviors is not None else None
-            if behaviors is not None and behavior is None:
-                continue
-            old.remove_worker(profile.worker_id)
+            behavior = old.remove_worker(profile.worker_id)
             # remove_worker marks the profile offline; revive it for the
             # new region it now belongs to.
             profile.online = True

@@ -1,12 +1,14 @@
 """Cross-component runtime invariants.
 
-The four server components share mutable state (tasks, worker profiles)
-through well-defined transitions; a bug in any handler tends to show up as
-a *relationship* violation long before it corrupts a headline metric.
-:func:`check_server_invariants` audits those relationships on demand and
-:class:`InvariantMonitor` re-audits them on a simulated-time grid, so
-integration tests (and cautious users) can run whole experiments under
-continuous verification.
+The four components of a :class:`~repro.platform.server.REACTServer` share
+mutable state (tasks, worker profiles) through well-defined transitions; a
+bug in any handler tends to show up as a *relationship* violation long
+before it corrupts a headline metric.  :func:`check_server_invariants`
+audits those relationships on demand and :class:`InvariantMonitor`
+re-audits them on a clock grid, so integration tests (and cautious users)
+can run whole experiments under continuous verification.  The task
+lifecycle is one code path for simulated and pull workers, so the same
+audit covers both.
 
 Checked invariants:
 
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..model.task import TaskPhase
-from ..sim.engine import Engine
+from ..sim.clock import EventClock
 from ..sim.events import EventKind
 from ..sim.process import PeriodicProcess
 
@@ -134,9 +136,9 @@ def check_server_invariants(server: "REACTServer", strict_accounting: bool = Tru
 
 @dataclass
 class InvariantMonitor:
-    """Re-audits a server every ``period`` simulated seconds."""
+    """Re-audits a server every ``period`` clock seconds."""
 
-    engine: Engine
+    engine: EventClock
     server: "REACTServer"
     period: float = 1.0
     strict_accounting: bool = True

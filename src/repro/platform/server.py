@@ -1,23 +1,41 @@
 """REACT region server (§III-A, Figure 1).
 
 Wires the four components — Profiling, Task Management, Scheduling, Dynamic
-Assignment — to the discrete-event engine for one region, and owns the
-simulation-side worker ground truth (:class:`WorkerBehavior`): when an
-assignment is published the server draws the worker's *actual* duration and
-schedules the completion event; the platform components never see that draw,
-only its eventual outcome, exactly as the real middleware only observes what
-human workers return.
+Assignment — to an event clock for one region and runs every task's
+lifecycle: intake with budget shedding, assignment, completion, Eq. (2)
+withdrawal, running-task expiry, queue retirement, and the resilience policy
+for withdrawn tasks.  The clock is the discrete-event engine in simulation
+and the wall-clock runtime in the live service; the lifecycle code is the
+same under both.
+
+Each worker's delivery path is chosen by how he is added:
+
+* **Simulated worker** — ``add_worker(profile, behavior)``.  The server owns
+  his ground truth (:class:`WorkerBehavior`): when an assignment is published
+  it draws the worker's *actual* duration and schedules the completion event;
+  the platform components never see that draw, only its eventual outcome,
+  exactly as the real middleware only observes what human workers return.
+* **Pull worker** — ``add_worker(profile)``.  A live worker: the published
+  assignment is parked as a :class:`DispatchNotice` that his next
+  :meth:`REACTServer.heartbeat` delivers (AMT-style pull delivery — the
+  middleware never calls the worker), and :meth:`REACTServer.submit_answer`
+  completes the task.  With ``liveness_timeout`` set, a pull worker whose
+  last heartbeat is older than that is removed like a departing worker.
+  Positive feedback is ``met_deadline``: a live service draws no feedback
+  coins from the experiment streams.
 
 Completion/withdrawal race: a dawdling worker whose task was pulled back by
-Eq. (2) still "finishes" at his sampled time — the completion event checks
-an assignment generation stamp and, finding the task gone, merely frees the
-worker (the human walked away; no result was returned to the platform).
+Eq. (2) or the deadline expiry still "finishes" — at his sampled time, or
+when his late answer arrives.  The completion checks the task's phase and
+worker (and, for simulated workers, the assignment generation stamp) and,
+finding the task gone, merely frees the worker (the human walked away; no
+result was returned to the platform).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..core.deadline import DeadlineEstimator
 from ..graph.builders import AssignmentGraphBuilder, BudgetGate, RewardRange
@@ -55,8 +73,37 @@ class _Execution:
     completion_event: Optional[Event] = None
 
 
+@dataclass
+class DispatchNotice:
+    """One published assignment awaiting delivery to its pull worker."""
+
+    task_id: int
+    worker_id: int
+    #: ``task.assignments`` stamp at publication; delivery is validated
+    #: against it so a withdrawn-then-reassigned task is never handed out
+    #: twice.
+    generation: int
+    category: str
+    reward: float
+    #: Absolute clock deadline the worker must beat.
+    deadline_at: float
+    assigned_at: float
+
+
+@dataclass(frozen=True)
+class AnswerOutcome:
+    """Result of one :meth:`REACTServer.submit_answer` call."""
+
+    status: str  # "completed" | "stale" | "unknown_task" | "unknown_worker"
+    met_deadline: bool = False
+
+    @property
+    def completed(self) -> bool:
+        return self.status == "completed"
+
+
 class REACTServer:
-    """One region's middleware instance driven by the simulation engine."""
+    """One region's middleware instance, for simulated and pull workers alike."""
 
     def __init__(
         self,
@@ -69,7 +116,13 @@ class REACTServer:
         resilience: Optional[ResilienceConfig] = None,
         observability: Optional[ObservabilityLike] = None,
         budget: Optional[BudgetGate] = None,
+        liveness_timeout: Optional[float] = None,
+        liveness_interval: float = 2.0,
     ) -> None:
+        if liveness_timeout is not None and liveness_timeout <= 0:
+            raise ValueError("liveness_timeout must be positive")
+        if liveness_interval <= 0:
+            raise ValueError("liveness_interval must be positive")
         self.engine = engine
         self.policy = policy
         self.resilience = resilience
@@ -154,6 +207,14 @@ class REACTServer:
         #: have two live executions at once (an abandoner's stale draw plus
         #: the replacement worker's), hence the generation in the key
         self._live: Dict[Tuple[int, int], _Execution] = {}
+        #: undelivered assignment per pull worker (a worker executes one task
+        #: at a time, so one slot suffices)
+        self._inbox: Dict[int, DispatchNotice] = {}
+        #: last heartbeat per pull worker; its keys are the pull workers
+        self._last_seen: Dict[int, float] = {}
+        self._liveness_timeout = liveness_timeout
+        self._liveness_interval = liveness_interval
+        self._liveness_sweep: Optional[PeriodicProcess] = None
         #: chaos hook (:class:`repro.chaos.NoShowFault`): may mutate each
         #: freshly drawn execution before its events are scheduled
         self.execution_hook: Optional[
@@ -166,7 +227,7 @@ class REACTServer:
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> None:
-        """Arm the periodic batch trigger and the Eq. 2 monitor."""
+        """Arm the periodic batch trigger, Eq. 2 monitor and liveness sweep."""
         if self._started:
             raise RuntimeError("server already started")
         self._started = True
@@ -178,12 +239,21 @@ class REACTServer:
             kind=EventKind.BATCH_TRIGGER,
             cohort_action=self.scheduling.periodic_trigger_cohort,
         )
+        if self._liveness_timeout is not None:
+            self._liveness_sweep = PeriodicProcess(
+                self.engine,
+                period=self._liveness_interval,
+                action=self._cull_dead_workers,
+            )
 
     def stop(self) -> None:
         self.dynamic_assignment.stop()
         if self._batch_timer is not None:
             self._batch_timer.stop()
             self._batch_timer = None
+        if self._liveness_sweep is not None:
+            self._liveness_sweep.stop()
+            self._liveness_sweep = None
         if self.degraded_mode is not None:
             self.degraded_mode.finalize()
         self._started = False
@@ -192,21 +262,26 @@ class REACTServer:
     def add_worker(
         self, profile: WorkerProfile, behavior: Optional[WorkerBehavior] = None
     ) -> None:
-        if behavior is None:
-            raise ValueError(
-                "REACTServer simulates worker outcomes and requires a "
-                "WorkerBehavior; live workers belong on a LiveRegionServer"
-            )
+        """Register a worker: simulated with a ``behavior``, pull without."""
         self.profiling.register(profile)
-        self._behaviors[profile.worker_id] = behavior
+        if behavior is not None:
+            self._behaviors[profile.worker_id] = behavior
+            return
+        self._last_seen[profile.worker_id] = self.engine.now
+        self._tracer.instant(
+            "worker.registered", cat="service", worker_id=profile.worker_id
+        )
+        # Fresh supply may make queued work matchable right away.
+        self.scheduling.maybe_trigger()
 
-    def remove_worker(self, worker_id: int) -> None:
+    def remove_worker(self, worker_id: int) -> Optional[WorkerBehavior]:
         """Worker churn: an online worker leaves the region.
 
         A task he was executing is withdrawn and re-queued (the paper's
         Dynamic Assignment Component "is able to deal with changes in the
         worker set ... by reassigning the tasks when workers abandon the
-        system").
+        system").  Returns his simulated behaviour (None for a pull worker),
+        so a caller can move him to another server.
         """
         profile = self.profiling.get(worker_id)
         profile.online = False
@@ -225,7 +300,44 @@ class REACTServer:
                 self._requeue_after_withdrawal(task)
                 self.scheduling.maybe_trigger()
         self.profiling.deregister(worker_id)
-        self._behaviors.pop(worker_id, None)
+        self._inbox.pop(worker_id, None)
+        self._last_seen.pop(worker_id, None)
+        return self._behaviors.pop(worker_id, None)
+
+    def heartbeat(self, worker_id: int) -> Optional[DispatchNotice]:
+        """Pull-worker keep-alive; returns a pending assignment, if any.
+
+        Raises :class:`KeyError` for an unknown worker (the gateway maps
+        that to 404 so a culled worker knows to re-register).
+        """
+        if worker_id not in self._last_seen:
+            raise KeyError(worker_id)
+        self._last_seen[worker_id] = self.engine.now
+        notice = self._inbox.pop(worker_id, None)
+        # Deliver only if the assignment is still current: Eq. 2 or expiry
+        # may have withdrawn it between publication and this poll.
+        if notice is None or self._current_task(notice) is None:
+            return None
+        return notice
+
+    def submit_answer(self, worker_id: int, task_id: int) -> AnswerOutcome:
+        """Answer callback: a pull worker returns a result for ``task_id``."""
+        if worker_id not in self._last_seen:
+            return AnswerOutcome(status="unknown_worker")
+        try:
+            task = self.task_management.get(task_id)
+        except KeyError:
+            return AnswerOutcome(status="unknown_task")
+        now = self.engine.now
+        self._last_seen[worker_id] = now
+        if task.phase is not TaskPhase.ASSIGNED or task.assigned_worker != worker_id:
+            # Withdrawn while the worker dawdled: the answer is discarded.
+            self._end_dawdle(task_id, worker_id)
+            self.scheduling.maybe_trigger()
+            return AnswerOutcome(status="stale")
+        assigned_at = task.assigned_at if task.assigned_at is not None else now
+        on_time = self._complete(task, worker_id, now - assigned_at)
+        return AnswerOutcome(status="completed", met_deadline=on_time)
 
     # ---------------------------------------------------------------- tasks
     def submit_task(self, task: Task) -> None:
@@ -252,6 +364,18 @@ class REACTServer:
             return
         self.scheduling.maybe_trigger()
 
+    def task_status(self, task_id: int) -> Dict[str, object]:
+        """Requester-facing task state (gateway GET /tasks/{id})."""
+        task = self.task_management.get(task_id)
+        return {
+            "task_id": task.task_id,
+            "phase": task.phase.name.lower(),
+            "assignments": task.assignments,
+            "submitted_at": task.submitted_at,
+            "completed_at": task.completed_at,
+            "met_deadline": task.met_deadline if task.completed_at is not None else None,
+        }
+
     def _record_budget_shed(self, task: Task) -> None:
         """Load shedding: intake refused the task (requester budget dry).
 
@@ -265,24 +389,11 @@ class REACTServer:
             reason="budget_exhausted",
             requester_id=task.requester_id,
         )
-        self.metrics.record_expired_unassigned(
-            TaskOutcome(
-                task_id=task.task_id,
-                submitted_at=task.submitted_at,
-                completed_at=None,
-                deadline=task.deadline,
-                met_deadline=False,
-                positive_feedback=False,
-                assignments=task.assignments,
-                final_worker=None,
-                worker_time=None,
-                total_time=None,
-            )
-        )
+        self.metrics.record_expired_unassigned(TaskOutcome.unfinished(task))
 
     # ------------------------------------------------------------ callbacks
     def _on_assign(self, task: Task, worker: WorkerProfile) -> None:
-        """Assignment published: draw the true outcome, schedule its events."""
+        """Assignment published: draw a simulated outcome or park a notice."""
         self.metrics.record_assignment(first=task.assignments == 1)
         self._tracer.instant(
             "task.assigned",
@@ -291,24 +402,38 @@ class REACTServer:
             worker_id=worker.worker_id,
             generation=task.assignments,
         )
-        behavior = self._behaviors[worker.worker_id]
-        draw = behavior.sample_outcome(self._behavior_rng)
-        execution = _Execution(
-            task_id=task.task_id,
-            worker_id=worker.worker_id,
-            generation=task.assignments,
-            duration=draw.duration,
-            abandoned=draw.abandoned,
-        )
-        if self.execution_hook is not None:
-            self.execution_hook(execution, task, worker)
-        execution.completion_event = self.engine.schedule(
-            execution.duration,
-            EventKind.TASK_COMPLETION,
-            self._on_completion,
-            payload=execution,
-        )
-        self._live[(execution.task_id, execution.generation)] = execution
+        behavior = self._behaviors.get(worker.worker_id)
+        record: Union[_Execution, DispatchNotice]
+        if behavior is None:
+            record = DispatchNotice(
+                task_id=task.task_id,
+                worker_id=worker.worker_id,
+                generation=task.assignments,
+                category=task.category.value,
+                reward=task.reward,
+                deadline_at=task.absolute_deadline,
+                assigned_at=self.engine.now,
+            )
+            self._inbox[worker.worker_id] = record
+        else:
+            draw = behavior.sample_outcome(self._behavior_rng)
+            execution = _Execution(
+                task_id=task.task_id,
+                worker_id=worker.worker_id,
+                generation=task.assignments,
+                duration=draw.duration,
+                abandoned=draw.abandoned,
+            )
+            if self.execution_hook is not None:
+                self.execution_hook(execution, task, worker)
+            execution.completion_event = self.engine.schedule(
+                execution.duration,
+                EventKind.TASK_COMPLETION,
+                self._on_completion,
+                payload=execution,
+            )
+            self._live[(execution.task_id, execution.generation)] = execution
+            record = execution
         # AMT expiry semantics: if the deadline passes while the task is
         # still out with this worker, the platform pulls it back.  Only
         # armed when the deadline is still ahead — a task knowingly handed
@@ -320,34 +445,42 @@ class REACTServer:
                     remaining,
                     EventKind.CALLBACK,
                     self._on_running_expiry,
-                    payload=execution,
+                    payload=record,
                     transient=True,
                 )
 
+    def _current_task(
+        self, record: Union[_Execution, DispatchNotice]
+    ) -> Optional[Task]:
+        """The record's task if it is still out with that worker at that
+        generation; None once it was withdrawn, finished or migrated."""
+        try:
+            task = self.task_management.get(record.task_id)
+        except KeyError:  # migrated to another server by a region split
+            return None
+        if (
+            task.phase is not TaskPhase.ASSIGNED
+            or task.assigned_worker != record.worker_id
+            or task.assignments != record.generation
+        ):
+            return None
+        return task
+
+    def _end_dawdle(self, task_id: int, worker_id: int) -> None:
+        """A worker finished a task that was withdrawn from him: free him."""
+        self.profiling.release_after_dawdle(worker_id)
+        self._tracer.instant(
+            "worker.dawdle_end", cat="task", task_id=task_id, worker_id=worker_id
+        )
+
     def _on_completion(self, event: Event) -> None:
         execution: _Execution = event.payload
-        now = self.engine.now
         self._live.pop((execution.task_id, execution.generation), None)
-        try:
-            task = self.task_management.get(execution.task_id)
-        except KeyError:  # pragma: no cover - tasks are never deleted
-            task = None
-        stale = (
-            task is None
-            or task.phase is not TaskPhase.ASSIGNED
-            or task.assigned_worker != execution.worker_id
-            or task.assignments != execution.generation
-        )
-        if stale:
+        task = self._current_task(execution)
+        if task is None:
             # The task was withdrawn (or the worker deregistered) while the
-            # human dawdled; his sampled duration just elapsed — free him.
-            self.profiling.release_after_dawdle(execution.worker_id)
-            self._tracer.instant(
-                "worker.dawdle_end",
-                cat="task",
-                task_id=execution.task_id,
-                worker_id=execution.worker_id,
-            )
+            # human dawdled; his sampled duration just elapsed.
+            self._end_dawdle(execution.task_id, execution.worker_id)
             return
         if execution.abandoned:
             # The worker walks away without informing the platform (§IV-B):
@@ -361,26 +494,39 @@ class REACTServer:
                 worker_id=execution.worker_id,
             )
             return
+        self._complete(task, execution.worker_id, execution.duration)
 
+    def _complete(self, task: Task, worker_id: int, duration: float) -> bool:
+        """Book a returned result; returns whether the deadline was met.
+
+        Shared by the simulated completion event and :meth:`submit_answer`.
+        A simulated worker's feedback is drawn from his behaviour; a pull
+        worker's is his punctuality.
+        """
+        now = self.engine.now
         self.task_management.complete(task, now)
+        on_time = task.met_deadline
         self._tracer.complete(
             "task.execution",
-            start=now - execution.duration,
+            start=now - duration,
             end=now,
             cat="task",
-            tid=worker_track(execution.worker_id),
+            tid=worker_track(worker_id),
             task_id=task.task_id,
-            worker_id=execution.worker_id,
-            on_time=task.met_deadline,
+            worker_id=worker_id,
+            on_time=on_time,
         )
-        on_time = task.met_deadline
-        behavior = self._behaviors[execution.worker_id]
-        outcome_fb = self._feedback.judge(behavior, on_time, category=task.category)
+        behavior = self._behaviors.get(worker_id)
+        positive = (
+            on_time
+            if behavior is None
+            else self._feedback.judge(behavior, on_time, category=task.category).positive
+        )
         self.profiling.record_completion(
-            execution.worker_id,
-            execution_time=execution.duration,
+            worker_id,
+            execution_time=duration,
             category=task.category,
-            positive_feedback=outcome_fb.positive,
+            positive_feedback=positive,
         )
         self.metrics.record_completion(
             TaskOutcome(
@@ -389,35 +535,29 @@ class REACTServer:
                 completed_at=now,
                 deadline=task.deadline,
                 met_deadline=on_time,
-                positive_feedback=outcome_fb.positive,
+                positive_feedback=positive,
                 assignments=task.assignments,
-                final_worker=execution.worker_id,
+                final_worker=worker_id,
                 worker_time=task.worker_time,
                 total_time=task.total_time,
             )
         )
         if self.completion_hook is not None:
-            self.completion_hook(task, execution.worker_id)
+            self.completion_hook(task, worker_id)
         # A completion frees a worker; queued tasks may now be matchable.
         self.scheduling.maybe_trigger()
+        return on_time
 
     def _on_running_expiry(self, event: Event) -> None:
         """AMT semantics: the deadline lapsed while the task was out.
 
         The task returns to the repository as unassigned (§II).  The worker,
         if he is still nominally on it, keeps dawdling until his sampled
-        finish time; an abandoner has already walked away.
+        finish time or late answer; an abandoner has already walked away.
         """
-        execution: _Execution = event.payload
-        try:
-            task = self.task_management.get(execution.task_id)
-        except KeyError:  # pragma: no cover - tasks are never deleted
-            return
-        if (
-            task.phase is not TaskPhase.ASSIGNED
-            or task.assigned_worker != execution.worker_id
-            or task.assignments != execution.generation
-        ):
+        record: Union[_Execution, DispatchNotice] = event.payload
+        task = self._current_task(record)
+        if task is None:
             return
         assigned_at = task.assigned_at if task.assigned_at is not None else self.engine.now
         elapsed = self.engine.now - assigned_at
@@ -427,17 +567,21 @@ class REACTServer:
             "task.expiry_return",
             cat="task",
             task_id=task.task_id,
-            worker_id=execution.worker_id,
+            worker_id=record.worker_id,
         )
-        profile = self.profiling.get(execution.worker_id)
-        if profile.current_task == execution.task_id:
-            # Still nominally on it: record the censored hold time and
-            # detach (an abandoner who already walked away was released —
-            # and his hold recorded — by the completion event).
-            profile.record_censored(elapsed)
-            profile.detach_task()
-            if self.policy.release_on_reassign:
-                profile.release()
+        if record.worker_id in self.profiling:
+            profile = self.profiling.get(record.worker_id)
+            if profile.current_task == record.task_id:
+                # Still nominally on it: record the censored hold time and
+                # detach (an abandoner who already walked away was released
+                # — and his hold recorded — by the completion event).
+                profile.record_censored(elapsed)
+                profile.detach_task()
+                if self.policy.release_on_reassign:
+                    profile.release()
+        # An undelivered notice for this generation is now dead.
+        if self._inbox.get(record.worker_id) is record:
+            del self._inbox[record.worker_id]
         self._requeue_after_withdrawal(task)
         self.scheduling.maybe_trigger()
 
@@ -449,6 +593,11 @@ class REACTServer:
         self.metrics.record_matcher_run(record.simulated_seconds)
         if self.degraded_mode is not None:
             self.degraded_mode.observe(record)
+
+    def _on_retired(self, retired: List[Task]) -> None:
+        for task in retired:
+            self._tracer.instant("task.expired", cat="task", task_id=task.task_id)
+            self.metrics.record_expired_unassigned(TaskOutcome.unfinished(task))
 
     # ----------------------------------------------------------- resilience
     def _requeue_after_withdrawal(self, task: Task) -> None:
@@ -478,20 +627,7 @@ class REACTServer:
                 reason="reassignment_budget",
                 assignments=task.assignments,
             )
-            self.metrics.record_expired_unassigned(
-                TaskOutcome(
-                    task_id=task.task_id,
-                    submitted_at=task.submitted_at,
-                    completed_at=None,
-                    deadline=task.deadline,
-                    met_deadline=False,
-                    positive_feedback=False,
-                    assignments=task.assignments,
-                    final_worker=None,
-                    worker_time=None,
-                    total_time=None,
-                )
-            )
+            self.metrics.record_expired_unassigned(TaskOutcome.unfinished(task))
             return
         if config.backoff_enabled:
             delay = config.backoff_delay(task.assignments)
@@ -516,6 +652,23 @@ class REACTServer:
     def _on_deferred_release(self, event: Event) -> None:
         task: Task = event.payload
         if self.task_management.release_deferred(task):
+            self.scheduling.maybe_trigger()
+
+    # ------------------------------------------------------------- liveness
+    def _cull_dead_workers(self, now: float) -> None:
+        assert self._liveness_timeout is not None  # armed only when set
+        cutoff = now - self._liveness_timeout
+        dead = [
+            worker_id
+            for worker_id, seen in self._last_seen.items()
+            if seen < cutoff
+        ]
+        for worker_id in dead:
+            self._tracer.instant(
+                "worker.liveness_cull", cat="service", worker_id=worker_id
+            )
+            self.remove_worker(worker_id)
+        if dead:
             self.scheduling.maybe_trigger()
 
     # ----------------------------------------------------- chaos interface
@@ -577,27 +730,12 @@ class REACTServer:
         self.metrics.blackout_orphaned += len(orphaned)
         return orphaned
 
-    def _on_retired(self, retired: list[Task]) -> None:
-        for task in retired:
-            self._tracer.instant(
-                "task.expired", cat="task", task_id=task.task_id
-            )
-            self.metrics.record_expired_unassigned(
-                TaskOutcome(
-                    task_id=task.task_id,
-                    submitted_at=task.submitted_at,
-                    completed_at=None,
-                    deadline=task.deadline,
-                    met_deadline=False,
-                    positive_feedback=False,
-                    assignments=task.assignments,
-                    final_worker=None,
-                    worker_time=None,
-                    total_time=None,
-                )
-            )
-
     # -------------------------------------------------------------- summary
+    @property
+    def in_flight(self) -> int:
+        """Tasks submitted and not yet finished (backpressure signal)."""
+        return self.task_management.in_flight
+
     def drain_and_summary(self) -> Dict[str, float]:
         """Metrics summary plus queue state (for end-of-run reporting)."""
         summary = self.metrics.summary()

@@ -13,9 +13,9 @@ Layers (docs/SERVICE.md):
 * :mod:`repro.service.runtime` — :class:`WallClockRuntime`, an asyncio
   event source satisfying ``EventClock`` (heap + one armed timer, cohort
   dispatch preserved, optional ``time_scale`` for accelerated tests);
-* :mod:`repro.service.bridge` — :class:`LiveRegionServer`, the REACT
-  region server wired for live traffic: worker inboxes and answer
-  callbacks replace the simulator's behaviour draws;
+* :mod:`repro.service.bridge` — :class:`LiveRegionServer`, the service-side
+  name of :class:`~repro.platform.server.REACTServer`, whose pull workers
+  receive assignments on heartbeat and return answers by callback;
 * :mod:`repro.service.admission` — token-bucket admission control and the
   bounded-backlog guard behind the gateway's 429 + Retry-After responses;
 * :mod:`repro.service.httpd` — a minimal stdlib asyncio HTTP/1.1 server;

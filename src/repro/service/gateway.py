@@ -6,8 +6,9 @@ asyncio loop:
 * a :class:`~repro.service.runtime.WallClockRuntime` drives the platform
   components in real time (``time_scale`` accelerates tests);
 * a :class:`~repro.platform.coordinator.Coordinator` owns the region map and
-  split-on-overload, building :class:`~repro.service.bridge.LiveRegionServer`
-  instances through its ``server_factory`` hook;
+  split-on-overload, building :class:`~repro.platform.server.REACTServer`
+  instances (with liveness culling) through its ``server_factory`` hook;
+  every worker the gateway registers is a pull worker;
 * an :class:`~repro.service.admission.AdmissionController` sheds excess
   submit load as 429 + ``Retry-After`` (token bucket + bounded backlog);
 * a :class:`~repro.service.httpd.HttpServer` speaks HTTP/1.1.
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, cast
+from typing import Dict, List, Optional
 
 from ..model.region import Region, RegionGrid
 from ..model.task import Task, TaskCategory
@@ -48,10 +49,10 @@ from ..obs.registry import MetricsRegistry
 from ..platform.coordinator import Coordinator
 from ..platform.cost import CostModel, ZeroCost
 from ..platform.policies import SchedulingPolicy, react_policy
+from ..platform.server import REACTServer
 from ..sim.clock import EventClock
 from ..sim.rng import RngRegistry
 from .admission import AdmissionConfig, AdmissionController
-from .bridge import LiveRegionServer
 from .httpd import BadRequest, HttpRequest, HttpResponse, HttpServer, json_response
 from .runtime import WallClockRuntime
 
@@ -104,8 +105,8 @@ class ServiceGateway:
         self.coordinator: Optional[Coordinator] = None
         self.port: Optional[int] = None
         self.host: Optional[str] = None
-        self._servers: List[LiveRegionServer] = []
-        self._worker_server: Dict[int, LiveRegionServer] = {}
+        self._servers: List[REACTServer] = []
+        self._worker_server: Dict[int, REACTServer] = {}
         self._httpd: Optional[HttpServer] = None
         self._admission: Optional[AdmissionController] = None
         self._ready = False
@@ -196,7 +197,7 @@ class ServiceGateway:
         return self._ready
 
     @property
-    def servers(self) -> List[LiveRegionServer]:
+    def servers(self) -> List[REACTServer]:
         return list(self._servers)
 
     def summary(self) -> Dict[str, float]:
@@ -211,9 +212,9 @@ class ServiceGateway:
         policy: SchedulingPolicy,
         rng: RngRegistry,
         cost_model: Optional[CostModel],
-    ) -> LiveRegionServer:
-        server = LiveRegionServer(
-            clock=clock,
+    ) -> REACTServer:
+        server = REACTServer(
+            engine=clock,
             policy=policy,
             rng=rng,
             cost_model=cost_model if cost_model is not None else ZeroCost(),
@@ -357,11 +358,11 @@ class ServiceGateway:
             worker_id=worker_id, latitude=latitude, longitude=longitude
         )
         server = self._server_for(latitude, longitude)
-        server.register_worker(profile)
+        server.add_worker(profile)
         self._worker_server[worker_id] = server
         return json_response({"worker_id": worker_id}, status=201)
 
-    def _server_of(self, worker_id: int) -> Optional[LiveRegionServer]:
+    def _server_of(self, worker_id: int) -> Optional[REACTServer]:
         """The server currently holding ``worker_id``'s profile.
 
         A region split can migrate an idle worker to a child server behind
@@ -420,13 +421,13 @@ class ServiceGateway:
             return json_response(
                 {"error": f"unknown worker {worker_id}"}, status=404
             )
-        server.deregister_worker(worker_id)
+        server.remove_worker(worker_id)
         self._worker_server.pop(worker_id, None)
         return json_response({"status": "deregistered"})
 
-    def _server_for(self, latitude: float, longitude: float) -> LiveRegionServer:
+    def _server_for(self, latitude: float, longitude: float) -> REACTServer:
         assert self.coordinator is not None
-        return cast(LiveRegionServer, self.coordinator.server_for(latitude, longitude))
+        return self.coordinator.server_for(latitude, longitude)
 
 
 def _int_segment(segment: str, label: str) -> int:

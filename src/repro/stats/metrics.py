@@ -24,6 +24,7 @@ import numpy as np
 from ..obs.registry import NULL_INSTRUMENT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..model.task import Task
     from ..obs.registry import MetricsRegistry
 
 
@@ -41,6 +42,23 @@ class TaskOutcome:
     final_worker: Optional[int]
     worker_time: Optional[float]
     total_time: Optional[float]
+
+    @classmethod
+    def unfinished(cls, task: "Task") -> "TaskOutcome":
+        """Outcome of a task that left the platform without a result
+        (queue expiry, budget shedding, a spent reassignment budget)."""
+        return cls(
+            task_id=task.task_id,
+            submitted_at=task.submitted_at,
+            completed_at=None,
+            deadline=task.deadline,
+            met_deadline=False,
+            positive_feedback=False,
+            assignments=task.assignments,
+            final_worker=None,
+            worker_time=None,
+            total_time=None,
+        )
 
 
 @dataclass
